@@ -297,7 +297,8 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	s.mu.Lock()
 	s.admitted++
 	s.mu.Unlock()
-	defer func() { <-s.admission }()
+	// From here every path ends in exactly one finish call, which
+	// returns the admission token (and the execution slot, once held).
 
 	// The client sends nothing after its job frame, so any read return —
 	// EOF, reset, or an unexpected frame — means the client is gone (or
@@ -315,10 +316,9 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 	select {
 	case s.active <- struct{}{}:
 	case <-jctx.Done():
-		s.finish(id, admittedAt, admittedAt, fmt.Errorf("job canceled while queued: %w", jctx.Err()))
+		s.finish(admittedAt, admittedAt, false, fmt.Errorf("job canceled while queued: %w", jctx.Err()))
 		return writeErr(conn, codec, jctx.Err())
 	}
-	defer func() { <-s.active }()
 	if s.cfg.JobTimeout > 0 {
 		var tcancel context.CancelFunc
 		jctx, tcancel = context.WithTimeout(jctx, s.cfg.JobTimeout)
@@ -327,14 +327,14 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, codec string, doc js
 
 	suite, err := jb.SuiteFor(s.cfg.Runner)
 	if err != nil {
-		s.finish(id, admittedAt, admittedAt, err)
+		s.finish(admittedAt, admittedAt, true, err)
 		return writeErr(conn, codec, err)
 	}
 	before := s.cfg.Runner.Stats()
 	startedAt := time.Now()
 	jb.Stream = true
 	runErr := jb.Run(jctx, suite, &frameWriter{conn: conn, codec: codec})
-	s.finish(id, admittedAt, startedAt, runErr)
+	s.finish(admittedAt, startedAt, true, runErr)
 	delta := s.cfg.Runner.Stats()
 	s.logf("job %d (%s) done in %s: %d new cells measured, %d served from cache",
 		id, kindName(jb), time.Since(startedAt).Round(time.Millisecond),
@@ -352,11 +352,21 @@ func kindName(j job.Job) string {
 	return string(j.Kind)
 }
 
-// finish folds one finished job into the queue counters.
-func (s *Server) finish(id int64, admittedAt, startedAt time.Time, err error) {
+// finish releases a finished job's admission token — and its execution
+// slot, if it held one — and folds the job into the queue counters, all
+// in one critical section. Callers finish before writing the job's last
+// frame, so a client that has seen its reply finds the job counted and
+// no longer active in every later snapshot.
+func (s *Server) finish(admittedAt, startedAt time.Time, heldSlot bool, err error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if heldSlot {
+		//xrlint:allow lockhygiene -- takes back this job's own slot token, which the channel holds, so the receive cannot block
+		<-s.active
+	}
+	//xrlint:allow lockhygiene -- takes back this job's own admission token; cannot block
+	<-s.admission
 	s.busy += now.Sub(startedAt)
 	s.sojourn += now.Sub(admittedAt)
 	if err != nil {

@@ -388,6 +388,28 @@ func TestServerStatsSelfCheck(t *testing.T) {
 	}
 }
 
+// TestServerStatsSettledWhenReplyArrives pins the ordering behind the
+// stats snapshot: a job leaves the active set and is counted before its
+// done frame is written, so a stats query issued the moment Submit
+// returns already sees it finished — on every one of many submits.
+func TestServerStatsSettledWhenReplyArrives(t *testing.T) {
+	addr, _, _ := startServer(t, Config{MaxActive: 2})
+	jb := sweepJob("table", 300)
+	for i := int64(1); i <= 50; i++ {
+		if err := Submit(context.Background(), addr, jb, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := QueryStats(context.Background(), addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Active != 0 || st.Queued != 0 || st.Completed != i {
+			t.Fatalf("after submit %d: active %d, queued %d, completed %d; want 0, 0, %d",
+				i, st.Active, st.Queued, st.Completed, i)
+		}
+	}
+}
+
 // TestServerRejectsWrongJobProto pins job-protocol versioning: a client
 // announcing a different WireJob version is refused with a version
 // mismatch before any job runs.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/testbed"
 )
@@ -35,26 +36,23 @@ type cacheEntry struct {
 	done chan struct{}
 	m    testbed.Measurement
 	err  error
+	// memo counts this entry's successful completion; nil for a private
+	// entry that never enters the map.
+	memo *atomic.Int64
 }
 
-func newCacheEntry() *cacheEntry { return &cacheEntry{done: make(chan struct{})} }
+func newCacheEntry(memo *atomic.Int64) *cacheEntry {
+	return &cacheEntry{done: make(chan struct{}), memo: memo}
+}
 
 func (e *cacheEntry) complete(m testbed.Measurement) {
 	e.once.Do(func() {
 		e.m = m
 		close(e.done)
+		if e.memo != nil {
+			e.memo.Add(1)
+		}
 	})
-}
-
-// completed reports whether the entry holds a final successful
-// measurement.
-func (e *cacheEntry) completed() bool {
-	select {
-	case <-e.done:
-		return e.err == nil
-	default:
-		return false
-	}
 }
 
 // CachedRunner memoizes measurements across calls by content key —
@@ -82,6 +80,10 @@ type CachedRunner struct {
 	hits     int64
 	misses   int64
 	diskHits int64
+	// completed counts map entries holding a successful measurement. A
+	// successful entry is never evicted (fail only finalizes entries
+	// that have no result), so the count never needs to go down.
+	completed atomic.Int64
 }
 
 // CacheOption configures a CachedRunner.
@@ -109,17 +111,14 @@ func (c *CachedRunner) Backend() Runner { return c.backend }
 // Disk returns the attached persistent store, or nil.
 func (c *CachedRunner) Disk() *DiskCache { return c.disk }
 
-// Stats returns a consistent snapshot of the counters.
+// Stats returns a consistent snapshot of the counters in O(1). An
+// entry completes only after its cell was accounted as a miss or disk
+// hit, so the snapshot never shows more completed entries than
+// accounted cells.
 func (c *CachedRunner) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.entries {
-		if e.completed() {
-			n++
-		}
-	}
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Entries: n}
+	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Entries: int(c.completed.Load())}
 }
 
 // Run implements Runner.
@@ -300,7 +299,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 	for i, r := range reqs {
 		fp, err := r.Fingerprint()
 		if err != nil {
-			entries[i] = newCacheEntry()
+			entries[i] = newCacheEntry(nil)
 			owned[i] = true
 			ownedIdx = append(ownedIdx, i)
 			ownedReqs = append(ownedReqs, r)
@@ -325,7 +324,7 @@ func (c *CachedRunner) classify(reqs []testbed.Request) (entries []*cacheEntry, 
 			c.hits++
 			continue
 		}
-		e := newCacheEntry()
+		e := newCacheEntry(&c.completed)
 		entries[i] = e
 		c.entries[key] = e
 		ownerOf[key] = i

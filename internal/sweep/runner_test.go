@@ -627,6 +627,99 @@ func TestCachedRunnerStatsExcludesInFlight(t *testing.T) {
 	<-done
 }
 
+// bruteEntries counts the completed entries of c's map by walking it,
+// the definition Stats' O(1) counter must agree with.
+func bruteEntries(c *CachedRunner) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		select {
+		case <-e.done:
+			if e.err == nil {
+				n++
+			}
+		default:
+		}
+	}
+	return n
+}
+
+// TestCachedRunnerEntriesMatchBruteForce checks Stats' completed-entry
+// counter against a walk of the entry map after runs that mix every
+// classification: disk hits, fresh misses, memory hits, in-batch
+// duplicates, uncached (unfingerprintable) cells, and failed cells that
+// are evicted and retried.
+func TestCachedRunnerEntriesMatchBruteForce(t *testing.T) {
+	reqs := testRequests(t, 2)
+	dir := t.TempDir()
+	seedDisk, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCachedRunner(&PoolRunner{}, WithDiskCache(seedDisk)).Run(context.Background(), reqs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCachedRunner(&PoolRunner{}, WithDiskCache(disk))
+	check := func(step string) {
+		t.Helper()
+		st := c.Stats()
+		if want := bruteEntries(c); st.Entries != want {
+			t.Fatalf("%s: Stats().Entries = %d, map holds %d completed entries (%+v)", step, st.Entries, want, st)
+		}
+		if int64(st.Entries) > st.Misses+st.DiskHits {
+			t.Fatalf("%s: %d completed entries for %d accounted cells", step, st.Entries, st.Misses+st.DiskHits)
+		}
+	}
+
+	// Disk hits (cells 0-1), misses (2-5), and in-batch duplicates.
+	batch := append(append([]testbed.Request{}, reqs...), reqs[0], reqs[3], reqs[3])
+	if _, err := c.Run(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	check("mixed batch")
+	if st := c.Stats(); st.Entries != len(reqs) || st.DiskHits != 2 {
+		t.Fatalf("mixed batch: %+v, want %d entries with 2 disk hits", st, len(reqs))
+	}
+
+	// Memory hits add no entries.
+	if _, err := c.Run(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	check("memory hits")
+
+	// An unfingerprintable cell runs uncached and is never an entry.
+	local := testRequests(t, 2)[:1]
+	local[0].Scenario.EdgeLink.Loss = pathLossStub{}
+	if _, err := c.Run(context.Background(), local); err != nil {
+		t.Fatal(err)
+	}
+	check("uncached cell")
+
+	// A failing cell (with its duplicate) is evicted each time, beside
+	// cells that succeed in the same failed batch.
+	bad := testRequests(t, 2)[4]
+	bad.Trials = 0
+	fresh := testRequests(t, 3)
+	for round := 0; round < 2; round++ {
+		if _, err := c.Run(context.Background(), append([]testbed.Request{bad, bad}, fresh...)); err == nil {
+			t.Fatal("batch with a failing cell must fail")
+		}
+		check(fmt.Sprintf("failed batch %d", round))
+	}
+	if _, err := c.Run(context.Background(), fresh); err != nil {
+		t.Fatal(err)
+	}
+	check("after failures")
+	if st := c.Stats(); st.Entries != 2*len(reqs) {
+		t.Fatalf("final Entries = %d, want %d", st.Entries, 2*len(reqs))
+	}
+}
+
 // TestCachedRunnerCapsWaiterFanout pins the fan-out bound: a large
 // batch must not spawn one waiter goroutine per request.
 func TestCachedRunnerCapsWaiterFanout(t *testing.T) {

@@ -37,7 +37,7 @@ awk -v tol="$tol" -v base="$baseline" -v freshfile="$fresh" '
 # per benchmark, which keeps the parse independent of a JSON tool.
 function parse(file, map,   line, name, val) {
 	while ((getline line < file) > 0) {
-		if (line ~ /"Benchmark[A-Za-z0-9_]*": *[0-9]/) {
+		if (line ~ /"Benchmark[A-Za-z0-9_\/-]*": *[0-9]/) {
 			name = line; sub(/^ *"/, "", name); sub(/".*/, "", name)
 			val = line; sub(/.*: */, "", val); sub(/,.*/, "", val)
 			map[name] = val + 0
