@@ -7,7 +7,7 @@ GO ?= go
 # reproduces the gate bit for bit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-json bench-compare lint fmt docs ci
+.PHONY: all build test race xrbench bench bench-json bench-compare lint fmt docs ci
 
 all: build
 
@@ -21,6 +21,10 @@ test:
 # surface; the seed is printed on failure for replay with -shuffle=<seed>.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The benchmark module (xrbench/) is its own Go module, outside ./...
+xrbench:
+	cd xrbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -49,4 +53,4 @@ fmt:
 docs:
 	sh scripts/check_docs.sh
 
-ci: build lint race bench docs
+ci: build lint race xrbench bench docs

@@ -418,7 +418,7 @@ func TestReportByteIdenticalNetWithNodeDeath(t *testing.T) {
 					return
 				}
 				var b testbed.WireBatch
-				if err := testbed.ReadFrameCodec(conn, start.Codec, &b); err == nil {
+				if err := testbed.ReadBinaryFrame(conn, &b); err == nil {
 					dropped.Add(1)
 				}
 			}(conn)

@@ -309,8 +309,9 @@ var blockingIoFuncs = map[string]bool{
 // lock held). The pure in-memory codecs (EncodeBinary, DecodeBinary)
 // are deliberately absent.
 var testbedFrameFuncs = map[string]bool{
-	"WriteFrame": true, "ReadFrame": true, "WriteFrameCodec": true,
-	"ReadFrameCodec": true, "WriteRawFrame": true, "ReadRawFrame": true,
+	"WriteFrame": true, "ReadFrame": true, "WriteBinaryFrame": true,
+	"ReadBinaryFrame": true, "WriteFrameCodec": true, "ReadFrameCodec": true,
+	"WriteRawFrame": true, "ReadRawFrame": true,
 	"ReadHello": true, "Serve": true, "ServeListener": true,
 	"ServeListenerOpts": true, "ServeConn": true, "ServeConnOpts": true,
 }

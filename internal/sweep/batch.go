@@ -103,7 +103,7 @@ type batchSource interface {
 }
 
 // batchTransport is one live worker session: a subprocess pipe pair or
-// a fleet TCP connection, post-handshake, speaking the negotiated codec.
+// a fleet TCP connection, post-handshake, speaking binary batch frames.
 type batchTransport interface {
 	// send writes one batch frame; errors are retryable worker failures.
 	send(b testbed.WireBatch) error

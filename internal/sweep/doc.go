@@ -19,7 +19,7 @@
 //   - Runner abstracts the execution backend for serializable work units
 //     (testbed.Request): PoolRunner fans out across an in-process pool,
 //     ProcRunner shards across worker subprocesses speaking a
-//     length-delimited JSON protocol over pipes, NetRunner dispatches the
+//     length-delimited frame protocol over pipes, NetRunner dispatches the
 //     same protocol over TCP to a fleet of serve nodes (handshake-
 //     verified, crash-re-dispatched, quarantined with backoff), and
 //     CachedRunner memoizes results by content key over any of them —

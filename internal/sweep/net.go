@@ -67,9 +67,7 @@ func (s staticMembers) Changed(uint64) <-chan struct{} { return nil }
 // the same batched frame protocol the proc backend speaks over pipes.
 // Connections are dialed lazily, verified against the node's handshake
 // (protocol + physics version; a mismatched node is rejected with a
-// clear error and never used), codec-negotiated per connection (binary
-// when the node advertises it, JSON otherwise — a mixed fleet produces
-// the same bytes either way), kept alive across Run/Stream calls (Close
+// clear error and never used), kept alive across Run/Stream calls (Close
 // reaps them), and replaced transparently when they break. Requests ride
 // in multi-request WireBatch frames with up to Pipeline batches
 // outstanding per connection.
@@ -104,11 +102,6 @@ type NetRunner struct {
 	// Pipeline is the window of outstanding batches per connection; 0
 	// means DefaultPipeline.
 	Pipeline int
-	// Codec forces the frame codec ("json" or "binary"); empty
-	// negotiates per connection from the node's advertisement. A forced
-	// codec a node does not speak poisons that node like a version
-	// mismatch.
-	Codec string
 	// StealAfter is how long a dispatched batch may sit unanswered
 	// before an idle session re-dispatches it to another node; 0 means
 	// netStealAfter, negative disables stealing. NoSteal is the
@@ -231,10 +224,6 @@ func (r *NetRunner) init() error {
 			return r.startErr
 		}
 		r.Members = staticMembers(r.Nodes)
-	}
-	if r.Codec != "" && !testbed.KnownCodec(r.Codec) {
-		r.startErr = fmt.Errorf("sweep: unknown frame codec %q", r.Codec)
-		return r.startErr
 	}
 	r.byAddr = make(map[string]*netNode)
 	r.conns = r.ConnsPerNode
@@ -553,11 +542,9 @@ func (nd *netNode) acquire(ctx context.Context, r *NetRunner) (*netConn, error) 
 	return r.dialNode(ctx, nd)
 }
 
-// dialNode opens, keepalives, handshakes, and codec-negotiates one
-// connection to a node. Transport failures are retryable worker
-// failures; a version mismatch — or a forced codec the node does not
-// advertise — poisons the node permanently and surfaces as a
-// non-retryable error.
+// dialNode opens, keepalives, and handshakes one connection to a node.
+// Transport failures are retryable worker failures; a version mismatch
+// poisons the node permanently and surfaces as a non-retryable error.
 func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netConn, error) {
 	dctx, cancel := context.WithTimeout(ctx, r.timeout)
 	defer cancel()
@@ -581,18 +568,7 @@ func (r *NetRunner) dialNode(ctx context.Context, nd *netNode) (*netConn, error)
 		return nil, &workerFailure{fmt.Errorf("node %s: no handshake: %w", nd.addr, err)}
 	}
 	nd.hinted(h)
-	codec := r.Codec
-	if codec == "" {
-		codec = h.PickCodec()
-	} else if !h.Supports(codec) {
-		c.close()
-		perr := fmt.Errorf("sweep: node %s rejected: %w",
-			nd.addr, fmt.Errorf("%w: node does not speak codec %q", testbed.ErrVersionMismatch, codec))
-		nd.health.poisonWith(perr)
-		return nil, perr
-	}
-	c.codec = codec
-	if err := testbed.WriteFrame(c.bw, testbed.WireStart{Codec: codec}); err != nil {
+	if err := testbed.WriteFrame(c.bw, testbed.WireStart{Codec: testbed.CodecBinary}); err != nil {
 		c.close()
 		return nil, &workerFailure{fmt.Errorf("node %s: start: %w", nd.addr, err)}
 	}
@@ -667,7 +643,6 @@ type netConn struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	bw        *bufio.Writer
-	codec     string
 	closeOnce sync.Once
 }
 
@@ -691,7 +666,7 @@ func (t *netTransport) observe(cells int, elapsed time.Duration) {
 }
 
 func (t *netTransport) send(b testbed.WireBatch) error {
-	if err := testbed.WriteFrameCodec(t.c.bw, t.c.codec, b); err != nil {
+	if err := testbed.WriteBinaryFrame(t.c.bw, b); err != nil {
 		return &workerFailure{fmt.Errorf("node %s: write: %w", t.c.node.addr, err)}
 	}
 	if err := t.c.bw.Flush(); err != nil {
@@ -702,7 +677,7 @@ func (t *netTransport) send(b testbed.WireBatch) error {
 
 func (t *netTransport) recv() (testbed.WireBatchResult, error) {
 	var res testbed.WireBatchResult
-	if err := testbed.ReadFrameCodec(t.c.br, t.c.codec, &res); err != nil {
+	if err := testbed.ReadBinaryFrame(t.c.br, &res); err != nil {
 		return res, &workerFailure{fmt.Errorf("node %s died mid-shard (read failed: %v)", t.c.node.addr, err)}
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,31 +35,6 @@ func startServeNode(t *testing.T) string {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Error("serve node did not shut down")
-		}
-	})
-	return ln.Addr().String()
-}
-
-// startJSONOnlyNode runs a worker-fleet node restricted to the JSON
-// codec — the mixed-fleet fixture.
-func startJSONOnlyNode(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = testbed.ServeListenerOpts(ctx, ln, nil, testbed.ServeOptions{JSONOnly: true})
-	}()
-	t.Cleanup(func() {
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("JSON-only node did not shut down")
 		}
 	})
 	return ln.Addr().String()
@@ -131,6 +107,30 @@ func TestNetRunnerMatchesPool(t *testing.T) {
 	}
 }
 
+// dyingFirst is a membership feed that lists only the dying node until
+// it has swallowed a batch, then admits the healthy node too, so the
+// healthy node cannot drain the grid before the fault fires.
+type dyingFirst struct {
+	dying, healthy string
+	swallowed      chan struct{} // closed once the dying node has read a batch
+}
+
+func (m *dyingFirst) Snapshot() ([]string, uint64) {
+	select {
+	case <-m.swallowed:
+		return []string{m.dying, m.healthy}, 2
+	default:
+		return []string{m.dying}, 1
+	}
+}
+
+func (m *dyingFirst) Changed(gen uint64) <-chan struct{} {
+	if gen >= 2 {
+		return nil
+	}
+	return m.swallowed
+}
+
 // TestNetRunnerRedispatchOnNodeDeath pins crash recovery: a node that
 // dies mid-frame — accepts the request, never answers, drops the
 // connection — must not fail the sweep; its shards are re-dispatched to
@@ -144,7 +144,9 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 	}
 
 	var killed atomic.Int64
-	flaky := startRawNode(t, func(conn net.Conn) {
+	var once sync.Once
+	members := &dyingFirst{swallowed: make(chan struct{})}
+	members.dying = startRawNode(t, func(conn net.Conn) {
 		if err := testbed.WriteFrame(conn, testbed.Hello()); err != nil {
 			return
 		}
@@ -154,12 +156,14 @@ func TestNetRunnerRedispatchOnNodeDeath(t *testing.T) {
 			return
 		}
 		var b testbed.WireBatch
-		if err := testbed.ReadFrameCodec(br, start.Codec, &b); err == nil {
+		if err := testbed.ReadBinaryFrame(br, &b); err == nil {
 			killed.Add(1)
+			once.Do(func() { close(members.swallowed) })
 		}
 		// Die mid-shard: the dispatcher is left awaiting a response.
 	})
-	nr := &NetRunner{Nodes: []string{flaky, startServeNode(t)}, ConnsPerNode: 1}
+	members.healthy = startServeNode(t)
+	nr := &NetRunner{Members: members, ConnsPerNode: 1}
 	defer nr.Close()
 
 	got, err := nr.Run(context.Background(), reqs)
@@ -218,75 +222,6 @@ func TestNetRunnerHandshakeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestNetRunnerMixedCodecFleet pins the mixed-fleet guarantee: a fleet
-// where one node only speaks JSON while the others negotiate binary
-// produces measurements bit-identical to the in-process pool — the
-// codec is a per-connection transport detail, invisible in the output.
-func TestNetRunnerMixedCodecFleet(t *testing.T) {
-	reqs := testRequests(t, 4)
-	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr := &NetRunner{
-		Nodes:        []string{startServeNode(t), startJSONOnlyNode(t), startServeNode(t)},
-		ConnsPerNode: 1,
-		Batch:        2,
-	}
-	defer nr.Close()
-	got, err := nr.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatalf("mixed-codec fleet failed: %v", err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mixed-codec point %d diverges from pool", i)
-		}
-	}
-}
-
-// TestNetRunnerForcedCodecMismatch pins the forced-codec gate: a
-// dispatcher pinned to the binary codec treats a JSON-only node like a
-// version mismatch — poisoned alone, routed around in a mixed fleet.
-func TestNetRunnerForcedCodecMismatch(t *testing.T) {
-	reqs := testRequests(t, 2)
-	jsonOnly := startJSONOnlyNode(t)
-
-	alone := &NetRunner{Nodes: []string{jsonOnly}, Codec: testbed.CodecBinary}
-	defer alone.Close()
-	_, err := alone.Run(context.Background(), reqs)
-	if !errors.Is(err, testbed.ErrVersionMismatch) {
-		t.Fatalf("forced-codec fleet error = %v, want ErrVersionMismatch", err)
-	}
-	for _, want := range []string{jsonOnly, `does not speak codec "binary"`, "rejected"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("forced-codec error missing %q: %v", want, err)
-		}
-	}
-
-	mixed := &NetRunner{Nodes: []string{jsonOnly, startServeNode(t)}, Codec: testbed.CodecBinary}
-	defer mixed.Close()
-	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mixed.Run(context.Background(), reqs)
-	if err != nil {
-		t.Fatalf("mixed fleet must route around the JSON-only node: %v", err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mixed-fleet point %d diverges", i)
-		}
-	}
-
-	bogus := &NetRunner{Nodes: []string{jsonOnly}, Codec: "protobuf"}
-	defer bogus.Close()
-	if _, err := bogus.Run(context.Background(), reqs); err == nil || !strings.Contains(err.Error(), `unknown frame codec "protobuf"`) {
-		t.Fatalf("unknown codec error = %v", err)
-	}
-}
-
 // TestNetRunnerCancelMidShard pins mid-shard cancelation: canceling the
 // context while shards are awaiting node responses must close the
 // in-flight connections — observed from the node side — and return
@@ -308,7 +243,7 @@ func TestNetRunnerCancelMidShard(t *testing.T) {
 		got := false
 		for {
 			var b testbed.WireBatch
-			if err := testbed.ReadFrameCodec(br, start.Codec, &b); err != nil {
+			if err := testbed.ReadBinaryFrame(br, &b); err != nil {
 				break
 			}
 			got = true

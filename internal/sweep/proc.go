@@ -29,12 +29,12 @@ const procShardAttempts = 2
 
 // ProcRunner executes requests across worker subprocesses speaking the
 // batched frame protocol of internal/testbed over stdin/stdout. Workers
-// start lazily on first use — handshaking versions and negotiating the
-// frame codec at spawn — and persist across Run/Stream calls (Close
-// reaps them); requests ride in multi-request WireBatch frames with up
-// to Pipeline batches outstanding per worker, so a worker never idles
-// between frames. A worker that crashes or is killed mid-batch is
-// replaced and its unanswered batches re-dispatched to a fresh worker
+// start lazily on first use — handshaking versions at spawn — and
+// persist across Run/Stream calls (Close reaps them); requests ride in
+// multi-request WireBatch frames with up to Pipeline batches
+// outstanding per worker, so a worker never idles between frames. A
+// worker that crashes or is killed mid-batch is replaced and its
+// unanswered batches re-dispatched to a fresh worker
 // (procShardAttempts), surfacing a descriptive error carrying the exit
 // status and stderr tail — never a hang — when the retry fails too.
 // Repeated consecutive failures quarantine the spawn source with backoff
@@ -43,8 +43,8 @@ const procShardAttempts = 2
 //
 // Requests must be wire-safe (Request.WireSafe); measurements depend only
 // on request content and the deterministic hidden physics, so a proc
-// sweep reproduces an in-process pool sweep bit for bit — both the JSON
-// and binary codecs carry float64 values losslessly across the boundary.
+// sweep reproduces an in-process pool sweep bit for bit — the binary
+// codec carries float64 values losslessly across the boundary.
 type ProcRunner struct {
 	// Procs is the number of worker subprocesses; 0 or negative means
 	// GOMAXPROCS.
@@ -62,9 +62,6 @@ type ProcRunner struct {
 	// Pipeline is the window of outstanding batches per worker; 0 means
 	// DefaultPipeline.
 	Pipeline int
-	// Codec forces the frame codec ("json" or "binary"); empty
-	// negotiates the densest codec the worker advertises.
-	Codec string
 
 	mu       sync.Mutex
 	started  bool
@@ -91,10 +88,6 @@ func (p *ProcRunner) init() error {
 		return p.startErr
 	}
 	p.started = true
-	if p.Codec != "" && !testbed.KnownCodec(p.Codec) {
-		p.startErr = fmt.Errorf("sweep: unknown frame codec %q", p.Codec)
-		return p.startErr
-	}
 	p.argv = p.Command
 	if len(p.argv) == 0 {
 		exe, err := os.Executable()
@@ -160,7 +153,7 @@ type procSource struct{ p *ProcRunner }
 
 // acquire takes a pool slot, spawning and handshaking a worker if the
 // slot is empty. A quarantined spawn source, a spawn failure, and a
-// version or codec mismatch fail the sweep outright (terminalError) — a
+// version mismatch fail the sweep outright (terminalError) — a
 // command that cannot produce a compatible worker will not produce one
 // on retry either — while a handshake that dies mid-read (the worker
 // crashed at startup) consumes a retry attempt like any other crash.
@@ -238,7 +231,6 @@ func (p *ProcRunner) Close() error {
 // workerProc is one live worker subprocess, post-handshake.
 type workerProc struct {
 	id       int64
-	codec    string
 	cmd      *exec.Cmd
 	stdin    io.WriteCloser
 	bw       *bufio.Writer
@@ -280,47 +272,33 @@ func (p *ProcRunner) startWorker() (*workerProc, error) {
 }
 
 // handshake reads the fresh worker's hello, verifies the protocol and
-// physics versions, picks the frame codec, and sends the start frame.
+// physics versions, and sends the start frame.
 // It runs under the sweep context so cancelation kills the worker
 // instead of wedging on a dead pipe.
 func (p *ProcRunner) handshake(cctx context.Context, w *workerProc) error {
-	type hs struct {
-		h   testbed.WireHello
-		err error
-	}
-	done := make(chan hs, 1)
+	done := make(chan error, 1)
 	go func() {
-		h, err := testbed.ReadHello(w.stdout)
-		done <- hs{h, err}
+		_, err := testbed.ReadHello(w.stdout)
+		done <- err
 	}()
-	var h testbed.WireHello
 	select {
-	case r := <-done:
-		if r.err != nil {
-			if errors.Is(r.err, testbed.ErrVersionMismatch) {
-				return fmt.Errorf("sweep: worker %d rejected: %w", w.id, r.err)
-			}
-			return w.ioErr("handshake", r.err)
+	case err := <-done:
+		if errors.Is(err, testbed.ErrVersionMismatch) {
+			return fmt.Errorf("sweep: worker %d rejected: %w", w.id, err)
 		}
-		h = r.h
+		if err != nil {
+			return w.ioErr("handshake", err)
+		}
 	case <-cctx.Done():
 		w.kill()
 		return cctx.Err()
 	}
-	codec := p.Codec
-	if codec == "" {
-		codec = h.PickCodec()
-	} else if !h.Supports(codec) {
-		return fmt.Errorf("sweep: worker %d does not speak codec %q: %w",
-			w.id, codec, testbed.ErrVersionMismatch)
-	}
-	if err := testbed.WriteFrame(w.bw, testbed.WireStart{Codec: codec}); err != nil {
+	if err := testbed.WriteFrame(w.bw, testbed.WireStart{Codec: testbed.CodecBinary}); err != nil {
 		return w.ioErr("start", err)
 	}
 	if err := w.bw.Flush(); err != nil {
 		return w.ioErr("start", err)
 	}
-	w.codec = codec
 	return nil
 }
 
@@ -331,7 +309,7 @@ type procTransport struct {
 }
 
 func (t *procTransport) send(b testbed.WireBatch) error {
-	if err := testbed.WriteFrameCodec(t.w.bw, t.w.codec, b); err != nil {
+	if err := testbed.WriteBinaryFrame(t.w.bw, b); err != nil {
 		return t.w.ioErr("write", err)
 	}
 	if err := t.w.bw.Flush(); err != nil {
@@ -342,7 +320,7 @@ func (t *procTransport) send(b testbed.WireBatch) error {
 
 func (t *procTransport) recv() (testbed.WireBatchResult, error) {
 	var res testbed.WireBatchResult
-	if err := testbed.ReadFrameCodec(t.w.stdout, t.w.codec, &res); err != nil {
+	if err := testbed.ReadBinaryFrame(t.w.stdout, &res); err != nil {
 		return res, t.w.ioErr("read", err)
 	}
 	return res, nil

@@ -22,6 +22,7 @@
 // identifying a reconstructible model bundle) — everything any process
 // needs to reproduce an observation bit for bit. Executor runs requests
 // locally; Serve/MaybeServeWorker expose the same execution over a
-// length-delimited JSON protocol on stdin/stdout, which is how `xrperf
-// worker` subprocesses answer the proc sweep backend.
+// length-delimited frame protocol on stdin/stdout — a JSON handshake,
+// then binary batch frames — which is how `xrperf worker` subprocesses
+// answer the proc sweep backend.
 package testbed

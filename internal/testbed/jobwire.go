@@ -10,8 +10,9 @@ import (
 // server exchange after the WireHello handshake. It is versioned
 // independently of ProtocolVersion (the measurement frames) so the fleet
 // protocol and the job protocol can evolve separately; bump it on any
-// incompatible job-frame change.
-const JobProtocolVersion = 1
+// incompatible job-frame change. Version 2 sends the WireResult stream
+// in the binary codec only, where version 1 let WireJob pick JSON.
+const JobProtocolVersion = 2
 
 // ServiceJobs is the WireHello.Service value announced by a job server
 // (`xrperf server`), distinguishing it from a worker-fleet node
@@ -38,7 +39,7 @@ const (
 	JobOpStats = "stats"
 )
 
-// WireJob is the one frame a client sends after the handshake: the
+// WireJob is the one JSON frame a client sends after the handshake: the
 // job-protocol version, the requested operation, and — for run — the
 // job document itself. The payload is carried opaquely (the job schema
 // lives in internal/job, above this package) so the wire layer never
@@ -48,12 +49,6 @@ type WireJob struct {
 	Proto int `json:"proto"`
 	// Op selects the operation; empty means JobOpRun.
 	Op string `json:"op,omitempty"`
-	// Codec selects the encoding of the server's WireResult stream; empty
-	// means JSON. A client picks it from the server hello's codec
-	// advertisement, so an old client (which never sets it) and an old
-	// server (which ignores it) interoperate unchanged — WireJob itself,
-	// like every handshake frame, is always JSON.
-	Codec string `json:"codec,omitempty"`
 	// Job is the job document (internal/job.Job JSON) for run ops.
 	Job json.RawMessage `json:"job,omitempty"`
 }
@@ -68,7 +63,9 @@ func (j WireJob) Check() error {
 }
 
 // WireResult kinds: every server→client frame after the handshake is a
-// WireResult, and Kind says how to interpret it.
+// WireResult, and Kind says how to interpret it. WireResult frames are
+// binary (WriteBinaryFrame) except a WireJob.Check rejection, which is
+// JSON because the client's job-protocol version is not agreed.
 const (
 	// ResultChunk carries one chunk of the job's canonical output; the
 	// client writes chunks to stdout in arrival order, and their

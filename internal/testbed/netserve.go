@@ -17,13 +17,13 @@ func ServeListener(ctx context.Context, ln net.Listener, logf func(format string
 // ServeListenerOpts runs a worker-fleet node: accept connections on ln
 // until ctx is canceled (or the listener fails) and answer each over the
 // length-delimited frame protocol. Every connection opens with a
-// handshake frame (WireHello) carrying this binary's protocol and
-// physics versions plus its codec advertisement, so an incompatible
-// dispatcher rejects the node before any work is exchanged and a
-// compatible one picks the densest codec both sides speak (opts.JSONOnly
-// withholds the binary advertisement). Connections are served
-// concurrently and share one Executor, so re-fitted model bundles are
-// resolved once per node, not once per dispatcher connection. A
+// JSON handshake frame (WireHello) carrying this binary's protocol and
+// physics versions, so an incompatible dispatcher — an older one
+// included — rejects the node before any work is exchanged; every
+// batch frame after the dispatcher's WireStart is binary. Connections
+// are served concurrently and share one Executor, so re-fitted model
+// bundles are resolved once per node, not once per dispatcher
+// connection. A
 // connection-level failure (disconnect, corrupt frame) closes that
 // connection only — reported via logf when non-nil — never the node.
 // Canceling ctx closes the listener and every live connection and
@@ -91,7 +91,7 @@ func ServeConn(e *Executor, conn net.Conn) error {
 }
 
 // ServeConnOpts performs the node side of one dispatcher connection:
-// write the handshake frame, negotiate the codec, then run the
+// write the handshake frame, read the start frame, then run the
 // executor's serve loop until the peer disconnects. A clean disconnect
 // (EOF before a frame header) returns nil.
 func ServeConnOpts(e *Executor, conn net.Conn, opts ServeOptions) error {
@@ -108,7 +108,7 @@ func ServeConnOpts(e *Executor, conn net.Conn, opts ServeOptions) error {
 // dispatcher half of the handshake every serve loop initiates: a frame
 // error means the peer is not a worker at all; a version mismatch
 // (ErrVersionMismatch) means it is one, built from incompatible code.
-// The returned hello carries the worker's codec advertisement even when
+// The returned hello carries the worker's capacity hints even when
 // validation fails.
 func ReadHello(r io.Reader) (WireHello, error) {
 	var h WireHello

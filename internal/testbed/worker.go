@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 )
 
@@ -22,15 +21,16 @@ import (
 const WorkerEnv = "XRPERF_PROC_WORKER"
 
 // ProtocolVersion identifies the wire protocol of this binary: the
-// 4-byte-length-prefixed framing, the handshake/start negotiation, and
-// the WireBatch/WireBatchResult message schema. Version 2 replaced the
-// per-request WireRequest/WireResponse round trips of version 1 with
-// batched, pipelined frames and per-connection codec negotiation
-// (WireHello.Codecs + WireStart). Every worker — subprocess or serve
-// node — announces it in its handshake so a dispatcher built against an
-// incompatible frame layout is rejected before any work is exchanged.
-// Bump it on any incompatible frame or message change.
-const ProtocolVersion = 2
+// 4-byte-length-prefixed framing, the JSON hello/start frames, and the
+// WireBatch/WireBatchResult message schema. Version 2 replaced the
+// per-request round trips of version 1 with batched, pipelined frames;
+// version 3 sends those frames in the binary codec only, where version
+// 2 negotiated JSON or binary per connection. Every worker — subprocess
+// or serve node — announces it in its handshake so a dispatcher built
+// against an incompatible frame layout (an older peer included) is
+// rejected before any work is exchanged. Bump it on any incompatible
+// frame or message change.
+const ProtocolVersion = 3
 
 // MaxFrameBytes bounds a single protocol frame; larger length prefixes
 // indicate a corrupt or hostile stream and are rejected.
@@ -39,36 +39,20 @@ const MaxFrameBytes = 8 << 20
 // ErrFrame indicates a malformed protocol frame.
 var ErrFrame = errors.New("testbed: bad protocol frame")
 
-// Frame codecs negotiated per connection: the handshake (WireHello) and
-// the start frame (WireStart) are always JSON, and every batch frame
-// after them is encoded in the codec the dispatcher selected from the
-// worker's advertisement.
-const (
-	// CodecJSON is the baseline codec every peer speaks; the empty
-	// string means the same thing on the wire.
-	CodecJSON = "json"
-	// CodecBinary is the compact binary codec for the hot frame types
-	// (see codec_binary.go): no field names, no float formatting, same
-	// decoded values as JSON bit for bit.
-	CodecBinary = "binary"
-)
+// CodecBinary names the one codec of the hot frames — WireBatch,
+// WireBatchResult and the job server's WireResult stream (see
+// codec_binary.go): no field names, no float formatting, the same
+// decoded values as JSON bit for bit. Handshake and control frames
+// (WireHello, WireStart, WireJob, the fleet's WireRegister) are JSON.
+const CodecBinary = "binary"
 
-// NormalizeCodec resolves the empty codec name to CodecJSON.
-func NormalizeCodec(c string) string {
-	if c == "" {
-		return CodecJSON
-	}
-	return c
-}
-
-// KnownCodec reports whether this binary implements codec c.
-func KnownCodec(c string) bool {
-	switch NormalizeCodec(c) {
-	case CodecJSON, CodecBinary:
-		return true
-	}
-	return false
-}
+// NormalizeCodec returns the codec name a WireStart carries, unchanged:
+// since protocol 3 there is nothing to resolve, and every name but
+// CodecBinary — the empty one included — is rejected.
+//
+// Deprecated: dispatchers always send CodecBinary; read batch frames
+// with ReadBinaryFrame.
+func NormalizeCodec(c string) string { return c }
 
 // WireBatch is one framed batch of requests: the dispatcher tags each
 // batch with the grid offset of its first request so results can be
@@ -93,8 +77,9 @@ type WireItem struct {
 
 // WireBatchResult is one framed batch response. Items answer the
 // batch's requests positionally; a non-empty envelope Err reports a
-// protocol-level rejection (e.g. an unacceptable codec in WireStart)
-// and closes the connection.
+// protocol-level rejection (a WireStart naming a codec other than
+// CodecBinary, answered in JSON because no codec was agreed) and
+// closes the connection.
 type WireBatchResult struct {
 	// ID echoes the batch tag.
 	ID int `json:"id"`
@@ -104,30 +89,27 @@ type WireBatchResult struct {
 	Err string `json:"err,omitempty"`
 }
 
-// WireStart is the one frame a dispatcher sends before its first batch:
-// the codec every subsequent frame on this connection uses. It is
-// always JSON — codec negotiation must be readable before a codec is
-// agreed — and unacknowledged: an acceptable codec costs no round trip,
-// and an unacceptable one is answered with an envelope-level
-// WireBatchResult.Err in JSON.
+// WireStart is the one JSON frame a dispatcher sends before its first
+// batch. It is unacknowledged and must name CodecBinary; any other
+// codec is answered with an envelope-level WireBatchResult.Err in JSON
+// and the connection closes.
 type WireStart struct {
-	// Codec selects the batch-frame codec; empty means CodecJSON.
+	// Codec names the batch-frame codec: always CodecBinary.
 	Codec string `json:"codec,omitempty"`
 }
 
-// ErrVersionMismatch indicates a peer whose protocol, physics, or codec
-// support differs incompatibly from this binary's.
+// ErrVersionMismatch indicates a peer whose protocol, physics, or frame
+// codec differs incompatibly from this binary's.
 var ErrVersionMismatch = errors.New("testbed: version mismatch")
 
 // WireHello is the handshake frame a worker writes once per connection
 // (serve nodes over TCP, worker subprocesses on stdout), before reading
 // any request: the worker's wire-protocol version, its measurement
-// semantics (PhysicsVersion), and the extra frame codecs it accepts
-// beyond JSON. The dispatcher checks the versions against its own
-// binary — a node built from different physics would return
-// measurements that silently break the byte-identical-across-backends
-// contract, so mismatched nodes are rejected up front, not discovered
-// as wrong numbers later — and picks the best codec both sides speak.
+// semantics (PhysicsVersion), and its capacity hints. The dispatcher
+// checks the versions against its own binary — a node built from
+// different physics would return measurements that silently break the
+// byte-identical-across-backends contract, so mismatched nodes are
+// rejected up front, not discovered as wrong numbers later.
 type WireHello struct {
 	// Protocol is the worker's wire-protocol version.
 	Protocol int `json:"proto"`
@@ -138,10 +120,6 @@ type WireHello struct {
 	// ServiceJobs for a job server. Version checks ignore it; clients
 	// use it to fail fast when dialing the wrong kind of endpoint.
 	Service string `json:"svc,omitempty"`
-	// Codecs lists the frame codecs the worker accepts beyond JSON,
-	// comma-separated (e.g. "binary"). Empty means JSON only. Kept a
-	// string, not a slice, so WireHello stays comparable.
-	Codecs string `json:"codecs,omitempty"`
 	// Cores is the worker's GOMAXPROCS: a static capacity hint for
 	// weighted dispatch. Optional — zero (an old node, or a worker that
 	// declines to advertise) means "no hint" and old-node handshake
@@ -153,24 +131,14 @@ type WireHello struct {
 	CellsPerSec float64 `json:"cps,omitempty"`
 }
 
-// Hello returns this binary's handshake frame, advertising every codec
-// it speaks and its core count as a static capacity hint.
+// Hello returns this binary's handshake frame, with its core count as a
+// static capacity hint.
 func Hello() WireHello {
 	return WireHello{
 		Protocol: ProtocolVersion,
 		Physics:  PhysicsVersion,
-		Codecs:   CodecBinary,
 		Cores:    runtime.GOMAXPROCS(0),
 	}
-}
-
-// JSONHello returns the handshake frame of a worker restricted to the
-// JSON codec (`xrperf serve -json-only`): same versions, no codec
-// advertisement, so dispatchers fall back to JSON frames automatically.
-func JSONHello() WireHello {
-	h := Hello()
-	h.Codecs = ""
-	return h
 }
 
 // Check validates a peer's handshake against this binary.
@@ -180,30 +148,6 @@ func (h WireHello) Check() error {
 			ErrVersionMismatch, h.Protocol, h.Physics, ProtocolVersion, PhysicsVersion)
 	}
 	return nil
-}
-
-// Supports reports whether the handshake's sender accepts frames in
-// codec c. Every peer speaks JSON.
-func (h WireHello) Supports(c string) bool {
-	c = NormalizeCodec(c)
-	if c == CodecJSON {
-		return true
-	}
-	for _, adv := range strings.Split(h.Codecs, ",") {
-		if strings.TrimSpace(adv) == c {
-			return true
-		}
-	}
-	return false
-}
-
-// PickCodec returns the densest codec both this binary and the
-// handshake's sender speak: binary when advertised, JSON otherwise.
-func (h WireHello) PickCodec() string {
-	if h.Supports(CodecBinary) {
-		return CodecBinary
-	}
-	return CodecJSON
 }
 
 // WriteRawFrame writes payload behind a 4-byte big-endian length prefix.
@@ -272,50 +216,61 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// WriteFrameCodec encodes v in the negotiated codec behind the length
+// WriteBinaryFrame encodes v in the binary codec behind the length
 // prefix.
+func WriteBinaryFrame(w io.Writer, v any) error {
+	payload, err := EncodeBinary(v)
+	if err != nil {
+		return fmt.Errorf("%w: encode: %v", ErrFrame, err)
+	}
+	return WriteRawFrame(w, payload)
+}
+
+// ReadBinaryFrame decodes one length-prefixed binary-codec frame into v,
+// with ReadFrame's EOF semantics.
+func ReadBinaryFrame(r io.Reader, v any) error {
+	payload, err := ReadRawFrame(r)
+	if err != nil {
+		return err
+	}
+	if err := DecodeBinary(payload, v); err != nil {
+		return fmt.Errorf("%w: decode: %v", ErrFrame, err)
+	}
+	return nil
+}
+
+// binaryOnly rejects every frame codec name but CodecBinary.
+func binaryOnly(codec string) error {
+	if codec != CodecBinary {
+		return fmt.Errorf("%w: codec %q: batch and result frames are %s only", ErrFrame, codec, CodecBinary)
+	}
+	return nil
+}
+
+// WriteFrameCodec is WriteBinaryFrame for a codec name read from a
+// WireStart; every codec but CodecBinary is rejected.
+//
+// Deprecated: use WriteBinaryFrame.
 func WriteFrameCodec(w io.Writer, codec string, v any) error {
-	switch NormalizeCodec(codec) {
-	case CodecJSON:
-		return WriteFrame(w, v)
-	case CodecBinary:
-		payload, err := EncodeBinary(v)
-		if err != nil {
-			return fmt.Errorf("%w: encode: %v", ErrFrame, err)
-		}
-		return WriteRawFrame(w, payload)
-	default:
-		return fmt.Errorf("%w: unknown codec %q", ErrFrame, codec)
+	if err := binaryOnly(codec); err != nil {
+		return err
 	}
+	return WriteBinaryFrame(w, v)
 }
 
-// ReadFrameCodec decodes one length-prefixed frame of the negotiated
-// codec into v, with ReadFrame's EOF semantics.
+// ReadFrameCodec is ReadBinaryFrame for a codec name read from a
+// WireStart; every codec but CodecBinary is rejected.
+//
+// Deprecated: use ReadBinaryFrame.
 func ReadFrameCodec(r io.Reader, codec string, v any) error {
-	switch NormalizeCodec(codec) {
-	case CodecJSON:
-		return ReadFrame(r, v)
-	case CodecBinary:
-		payload, err := ReadRawFrame(r)
-		if err != nil {
-			return err
-		}
-		if err := DecodeBinary(payload, v); err != nil {
-			return fmt.Errorf("%w: decode: %v", ErrFrame, err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown codec %q", ErrFrame, codec)
+	if err := binaryOnly(codec); err != nil {
+		return err
 	}
+	return ReadBinaryFrame(r, v)
 }
 
-// ServeOptions restricts a worker's serve loop.
+// ServeOptions configures a worker's serve loop.
 type ServeOptions struct {
-	// JSONOnly withholds the binary-codec advertisement and rejects
-	// dispatchers that request it anyway — the operational escape hatch
-	// (and mixed-fleet test fixture) for running a node on the baseline
-	// codec.
-	JSONOnly bool
 	// Meter, when set, is fed each batch's throughput and its EWMA is
 	// advertised in the handshake (WireHello.CellsPerSec). Serve nodes
 	// share one meter across connections so every dispatcher sees the
@@ -328,15 +283,12 @@ type ServeOptions struct {
 // coordinator, in fleet register mode) would read from this worker.
 func (o ServeOptions) Hello() WireHello {
 	h := Hello()
-	if o.JSONOnly {
-		h.Codecs = ""
-	}
 	h.CellsPerSec = o.Meter.Rate()
 	return h
 }
 
 // Serve runs the worker loop on a fresh executor: write the handshake,
-// negotiate the frame codec, then answer framed request batches from r
+// read the start frame, then answer framed request batches from r
 // until EOF, writing framed results to w in arrival order. It is the
 // stdin/stdout entry point of the proc backend; network serve nodes run
 // the same loop per connection via ServeListener, sharing one executor
@@ -355,12 +307,12 @@ func (e *Executor) ServeFrames(r io.Reader, w io.Writer) error {
 
 // ServeFramesOpts runs the transport-agnostic worker loop on the
 // executor: write the handshake frame, read the dispatcher's WireStart
-// (both JSON), then answer WireBatch frames in the negotiated codec
-// until EOF. Request-level failures (bad trials, invalid scenario) are
-// reported per item and do not kill the loop; a batch-level rejection
-// (an unacceptable codec) is reported in a JSON envelope frame and
-// closes the connection; protocol-level failures (corrupt frame, broken
-// pipe) return an error. The hidden physics is deterministic, so a
+// (both JSON), then answer binary WireBatch frames until EOF.
+// Request-level failures (bad trials, invalid scenario) are reported per
+// item and do not kill the loop; a start frame naming a codec other than
+// CodecBinary is rejected in a JSON envelope frame and closes the
+// connection; protocol-level failures (corrupt frame, broken pipe)
+// return an error. The hidden physics is deterministic, so a
 // worker's observations for seeded requests match any other process's
 // bit for bit — which is what lets one serve loop back pipes and
 // sockets interchangeably.
@@ -382,17 +334,16 @@ func (e *Executor) ServeFramesOpts(r io.Reader, w io.Writer, opts ServeOptions) 
 		}
 		return fmt.Errorf("worker start: %w", err)
 	}
-	codec := NormalizeCodec(start.Codec)
-	if !KnownCodec(codec) || (opts.JSONOnly && codec != CodecJSON) {
+	if start.Codec != CodecBinary {
 		reason := fmt.Errorf("%w: dispatcher requested codec %q, this worker speaks %s",
-			ErrVersionMismatch, start.Codec, e.serveCodecs(opts))
+			ErrVersionMismatch, start.Codec, CodecBinary)
 		_ = WriteFrame(bw, WireBatchResult{Err: reason.Error()})
 		_ = bw.Flush()
 		return reason
 	}
 	for {
 		var b WireBatch
-		if err := ReadFrameCodec(br, codec, &b); err != nil {
+		if err := ReadBinaryFrame(br, &b); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
@@ -403,20 +354,13 @@ func (e *Executor) ServeFramesOpts(r io.Reader, w io.Writer, opts ServeOptions) 
 		res := WireBatchResult{ID: b.ID, Items: e.DoBatch(context.Background(), b.Reqs)}
 		//xrlint:allow determinism -- batch wall time feeds the capacity meter (dispatch steering), never measurement data
 		opts.Meter.Observe(len(b.Reqs), time.Since(began))
-		if err := WriteFrameCodec(bw, codec, res); err != nil {
+		if err := WriteBinaryFrame(bw, res); err != nil {
 			return fmt.Errorf("worker write: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("worker flush: %w", err)
 		}
 	}
-}
-
-func (e *Executor) serveCodecs(opts ServeOptions) string {
-	if opts.JSONOnly {
-		return CodecJSON
-	}
-	return CodecJSON + ", " + CodecBinary
 }
 
 // MaybeServeWorker turns the current process into a measurement worker —

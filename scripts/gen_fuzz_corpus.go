@@ -30,7 +30,7 @@ func frame(v any) []byte {
 
 func binFrame(v any) []byte {
 	var buf bytes.Buffer
-	if err := testbed.WriteFrameCodec(&buf, testbed.CodecBinary, v); err != nil {
+	if err := testbed.WriteBinaryFrame(&buf, v); err != nil {
 		log.Fatal(err)
 	}
 	return buf.Bytes()
@@ -69,7 +69,7 @@ func main() {
 		"FuzzWireHello": {
 			"hello":      frame(testbed.Hello()),
 			"jobs-hello": frame(testbed.JobsHello()),
-			"json-only":  frame(testbed.JSONHello()),
+			"v2-hello":   frame(testbed.WireHello{Protocol: 2, Physics: testbed.PhysicsVersion}), // previous protocol
 			"future":     frame(testbed.WireHello{Protocol: 99, Physics: 1}),
 		},
 	}
