@@ -168,11 +168,12 @@ func TestServerFlagErrors(t *testing.T) {
 // TestReportByteIdenticalUnderChaos pins the chaos satellite at the
 // report level: the full Markdown report generated over a net fleet
 // whose first node dies repeatedly mid-stream (every connection killed
-// three frames in) is byte-identical to the pool backend's.
+// at its first answer, so every connection that node accepts is a
+// fault) is byte-identical to the pool backend's.
 func TestReportByteIdenticalUnderChaos(t *testing.T) {
 	want := runCLI(t, append([]string{"report", "-workers", "2"}, fastFlags...)...)
 	proxy, err := sweep.NewChaosProxy(startServeNodes(t, 1), sweep.ChaosConfig{
-		CrashAfterFrames: 3,
+		CrashAfterFrames: 2,
 		MaxCrashes:       -1,
 	})
 	if err != nil {

@@ -62,6 +62,9 @@ type batchJob struct {
 	reqs     []testbed.Request
 	attempts int
 	lastErr  error
+	// avoid is the origin (see batchOrigin) of the transport this batch
+	// last died on; its retry is steered to any other usable origin.
+	avoid any
 	// claimed flips exactly once, by the first result that answers this
 	// job; a duplicate answer (the batch was stolen) is discarded.
 	// Measurements are pure functions of (request, seed), so the two
@@ -97,9 +100,11 @@ var errStandby = errors.New("standing by for fleet membership")
 
 // batchSource checks out transports for the dispatcher. Attempt-level
 // failures (a crashed spawn handshake, an unreachable node) return plain
-// errors; unrecoverable conditions return *terminalError.
+// errors; unrecoverable conditions return *terminalError. avoid is the
+// batch's avoid origin (nil for none): a source with several origins
+// picks another one when it can.
 type batchSource interface {
-	acquire(cctx context.Context) (batchTransport, error)
+	acquire(cctx context.Context, avoid any) (batchTransport, error)
 }
 
 // batchTransport is one live worker session: a subprocess pipe pair or
@@ -137,6 +142,23 @@ type batchTransport interface {
 // how long from send to receive.
 type batchObserver interface {
 	observe(cells int, elapsed time.Duration)
+}
+
+// batchOrigin is optionally implemented by transports that share a
+// failure domain with their siblings (the net backend's node). A batch
+// whose transport dies is retried elsewhere when another origin is
+// usable, so a node that keeps dropping connections cannot burn one
+// batch's whole attempt budget.
+type batchOrigin interface {
+	origin() any
+}
+
+// originOf returns t's origin, or nil when t does not report one.
+func originOf(t batchTransport) any {
+	if o, ok := t.(batchOrigin); ok {
+		return o.origin()
+	}
+	return nil
 }
 
 // batchConfig parameterizes one dispatch run.
@@ -423,12 +445,21 @@ func (d *batchDispatcher) retry(j *batchJob, cause error) {
 // nil poaching ticket), check out a transport, and drive it until the
 // transport dies or the work runs out.
 func (d *batchDispatcher) session() {
+	var handoff *batchJob
 	for {
-		j, ok := d.pull()
+		j, ok := handoff, true
+		handoff = nil
+		if j == nil {
+			j, ok = d.pull()
+		}
 		if !ok {
 			return
 		}
-		t, err := d.cfg.source.acquire(d.cctx)
+		var avoid any
+		if j != nil {
+			avoid = j.avoid
+		}
+		t, err := d.cfg.source.acquire(d.cctx, avoid)
 		if err != nil {
 			var te *terminalError
 			if errors.As(err, &te) {
@@ -470,7 +501,7 @@ func (d *batchDispatcher) session() {
 			d.retry(j, err)
 			continue
 		}
-		d.drive(t, j)
+		handoff = d.drive(t, j)
 	}
 }
 
@@ -490,6 +521,7 @@ type inflightEntry struct {
 // driveState is one transport session's in-flight window, registered
 // with the dispatcher so idle sessions can steal from it.
 type driveState struct {
+	origin  any // the transport's origin, nil if it reports none
 	mu      sync.Mutex
 	entries []inflightEntry
 }
@@ -569,6 +601,9 @@ func (d *batchDispatcher) steal(me *driveState, now time.Time) *batchJob {
 		if e.stolen || e.j.claimed.Load() || age < d.cfg.stealAfter {
 			continue
 		}
+		if me.origin != nil && e.j.avoid == me.origin {
+			continue // it already died where this thief would send it
+		}
 		if i == 0 && age < 4*d.cfg.stealAfter {
 			continue
 		}
@@ -588,12 +623,15 @@ func (d *batchDispatcher) steal(me *driveState, now time.Time) *batchJob {
 // loop is sequential), so FIFO matching is exact; the echoed batch tag
 // is checked as a corruption guard. On transport death every unanswered
 // batch this drive still owns is collected and re-dispatched through
-// retry; entries stolen by other sessions are theirs to finish.
-func (d *batchDispatcher) drive(t batchTransport, first *batchJob) {
+// retry; entries stolen by other sessions are theirs to finish. A
+// queued batch that already died on this transport's origin is not
+// sent: the drive winds down and returns it, and the session checks it
+// out a transport elsewhere.
+func (d *batchDispatcher) drive(t batchTransport, first *batchJob) (handoff *batchJob) {
 	stop := context.AfterFunc(d.cctx, t.destroy)
 	defer stop()
 
-	me := &driveState{}
+	me := &driveState{origin: originOf(t)}
 	d.drivesMu.Lock()
 	d.drives[me] = struct{}{}
 	d.drivesMu.Unlock()
@@ -768,6 +806,10 @@ send:
 			j = nil
 			continue
 		}
+		if j != first && me.origin != nil && j.avoid == me.origin {
+			handoff, j = j, nil
+			break send
+		}
 		select {
 		case sem <- struct{}{}:
 		case <-d.cctx.Done():
@@ -798,7 +840,7 @@ send:
 			// nodes' pace — which is the entire point of stealing.
 			if (j == nil || j.claimed.Load()) && me.pendingOnlyStolen() {
 				t.abort()
-				return
+				return nil
 			}
 		default:
 		}
@@ -830,18 +872,28 @@ send:
 		// accounting, no retries — just make sure the transport is dead
 		// and its slot freed.
 		t.abort()
-		return
+		return nil
 	}
 	cause := sendFail
 	if cause == nil {
 		cause = rerr
 	}
 	if cause == nil {
+		// Disarm the cancelation hook before parking: a caching caller
+		// cancels the context as soon as it has its last result, and a
+		// hook firing after the park would destroy a connection already
+		// back in the idle pool, for the next call to find dead.
+		if !stop() {
+			t.abort()
+			return nil
+		}
 		t.park()
-		return
+		return handoff
 	}
 	t.fail(cause)
 	for _, o := range orphans {
+		o.avoid = me.origin
 		d.retry(o, cause)
 	}
+	return handoff
 }

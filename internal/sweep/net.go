@@ -396,12 +396,12 @@ type netSource struct{ r *NetRunner }
 // consuming anything; everything else — dial failures, broken
 // handshakes, a poison discovered on this very dial — consumes an
 // attempt and lets the dispatcher route the batch elsewhere.
-func (s netSource) acquire(cctx context.Context) (batchTransport, error) {
+func (s netSource) acquire(cctx context.Context, avoid any) (batchTransport, error) {
 	r := s.r
 	if err := cctx.Err(); err != nil {
 		return nil, &terminalError{err: err}
 	}
-	node, wait, err := r.pickNode()
+	node, wait, err := r.pickNode(avoid)
 	if err != nil {
 		return nil, &terminalError{err: err, needsIdx: true}
 	}
@@ -456,8 +456,10 @@ func (s netSource) acquire(cctx context.Context) (batchTransport, error) {
 // returns (nil, soonest release, nil); with no members at all (an
 // elastic fleet between nodes) it returns (nil, -1, nil); with every
 // node poisoned it returns the poison error (the first node's reason
-// wrapped, so errors.Is sees through to e.g. ErrVersionMismatch).
-func (r *NetRunner) pickNode() (*netNode, time.Duration, error) {
+// wrapped, so errors.Is sees through to e.g. ErrVersionMismatch). The
+// avoid node (a retried batch's last failure) is passed over unless it
+// is the only usable one.
+func (r *NetRunner) pickNode(avoid any) (*netNode, time.Duration, error) {
 	r.syncMembers()
 	nodes := r.memberView()
 	if len(nodes) == 0 {
@@ -501,6 +503,9 @@ func (r *NetRunner) pickNode() (*netNode, time.Duration, error) {
 	var best *netNode
 	var bestScore float64
 	for _, c := range cands {
+		if any(c.nd) == avoid && len(cands) > 1 {
+			continue
+		}
 		w := c.w
 		if !c.known {
 			w = maxKnown
@@ -684,6 +689,10 @@ func (t *netTransport) recv() (testbed.WireBatchResult, error) {
 }
 
 func (t *netTransport) success() { t.c.node.health.success() }
+
+// origin implements batchOrigin: a batch that died on a node is retried
+// on another one when the fleet has one to offer.
+func (t *netTransport) origin() any { return t.c.node }
 
 func (t *netTransport) reject(msg string) error {
 	// Request-level rejection from a healthy node: deterministic, never

@@ -222,6 +222,85 @@ func TestNetRunnerHandshakeMismatchRejected(t *testing.T) {
 	}
 }
 
+// startV2Node runs a node from the protocol-2 era, when batch frames
+// could travel as JSON: it leads with that protocol's hello and
+// nothing else.
+func startV2Node(t *testing.T) string {
+	t.Helper()
+	return startRawNode(t, func(conn net.Conn) {
+		_ = testbed.WriteFrame(conn, testbed.WireHello{Protocol: 2, Physics: testbed.PhysicsVersion})
+	})
+}
+
+// TestNetRunnerMixedCodecFleet pins the upgrade path of a fleet that
+// still holds a protocol-2 node, the last protocol whose batches could
+// travel as JSON: the stale node is rejected at the hello and routed
+// around, and the measurements stay bit-identical to the in-process
+// pool — the codec never shows in the output.
+func TestNetRunnerMixedCodecFleet(t *testing.T) {
+	reqs := testRequests(t, 4)
+	want, err := (&PoolRunner{Workers: 2}).Run(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := &NetRunner{
+		Nodes:        []string{startServeNode(t), startV2Node(t), startServeNode(t)},
+		ConnsPerNode: 1,
+		Batch:        2,
+	}
+	defer nr.Close()
+	got, err := nr.Run(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("fleet with a protocol-2 node failed: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("mixed-fleet point %d diverges from pool", i)
+		}
+	}
+}
+
+// TestNetRunnerForcedCodecMismatch pins the binary-only gate: the
+// dispatcher cannot be talked down to JSON batch frames, so a fleet of
+// protocol-2 nodes fails with a version mismatch naming the node and
+// both protocols instead of negotiating.
+func TestNetRunnerForcedCodecMismatch(t *testing.T) {
+	old := startV2Node(t)
+	nr := &NetRunner{Nodes: []string{old}}
+	defer nr.Close()
+	_, err := nr.Run(context.Background(), testRequests(t, 2))
+	if !errors.Is(err, testbed.ErrVersionMismatch) {
+		t.Fatalf("protocol-2 fleet error = %v, want ErrVersionMismatch", err)
+	}
+	for _, want := range []string{old, "protocol 2", fmt.Sprintf("speaks %d", testbed.ProtocolVersion), "rejected"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("mismatch error missing %q: %v", want, err)
+		}
+	}
+}
+
+// TestPickNodeAvoidsFailedNode pins retry steering: a batch's retry
+// passes over the node it last died on while another node is usable,
+// and falls back to it when it is the only one.
+func TestPickNodeAvoidsFailedNode(t *testing.T) {
+	nr := &NetRunner{Nodes: []string{"127.0.0.1:1", "127.0.0.1:2"}}
+	defer nr.Close()
+	if err := nr.init(); err != nil {
+		t.Fatal(err)
+	}
+	nodes := nr.memberView()
+	for i := 0; i < 4; i++ {
+		nd, _, err := nr.pickNode(nodes[0])
+		if err != nil || nd != nodes[1] {
+			t.Fatalf("pick %d avoiding %s = %v, %v", i, nodes[0].addr, nd, err)
+		}
+	}
+	nodes[1].health.poisonWith(testbed.ErrVersionMismatch)
+	if nd, _, err := nr.pickNode(nodes[0]); err != nil || nd != nodes[0] {
+		t.Fatalf("sole usable node was not picked: %v, %v", nd, err)
+	}
+}
+
 // TestNetRunnerCancelMidShard pins mid-shard cancelation: canceling the
 // context while shards are awaiting node responses must close the
 // in-flight connections — observed from the node side — and return

@@ -157,7 +157,7 @@ type procSource struct{ p *ProcRunner }
 // command that cannot produce a compatible worker will not produce one
 // on retry either — while a handshake that dies mid-read (the worker
 // crashed at startup) consumes a retry attempt like any other crash.
-func (s procSource) acquire(cctx context.Context) (batchTransport, error) {
+func (s procSource) acquire(cctx context.Context, _ any) (batchTransport, error) {
 	p := s.p
 	select {
 	case w := <-p.pool:

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -139,6 +140,40 @@ func TestProcRunnerBatchPipelineConfigs(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("config %d point %d diverges from pool", i, j)
 			}
+		}
+	}
+}
+
+// TestProcRunnerRejectsUnknownCodec pins the worker end of the proc
+// backend: a worker spawned the way ProcRunner spawns it — this binary
+// re-executed with testbed.WorkerEnv set — answers a start frame naming
+// any codec but binary with a version-mismatch envelope and exits
+// non-zero before reading a batch.
+func TestProcRunnerRejectsUnknownCodec(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), testbed.WorkerEnv+"=1")
+	var in, out bytes.Buffer
+	if err := testbed.WriteFrame(&in, testbed.WireStart{Codec: "protobuf"}); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stdin, cmd.Stdout = &in, &out
+	if err := cmd.Run(); err == nil {
+		t.Fatal("worker accepted an unknown codec")
+	}
+	if _, err := testbed.ReadHello(&out); err != nil {
+		t.Fatal(err)
+	}
+	var res testbed.WireBatchResult
+	if err := testbed.ReadFrame(&out, &res); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{testbed.ErrVersionMismatch.Error(), `codec "protobuf"`, "this worker speaks binary"} {
+		if !strings.Contains(res.Err, want) {
+			t.Fatalf("rejection %q does not mention %q", res.Err, want)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func main() {
 		"FuzzWireHello": {
 			"hello":      frame(testbed.Hello()),
 			"jobs-hello": frame(testbed.JobsHello()),
-			"v2-hello":   frame(testbed.WireHello{Protocol: 2, Physics: testbed.PhysicsVersion}), // previous protocol
+			"json-only":  frame(testbed.WireHello{Protocol: 2, Physics: testbed.PhysicsVersion}), // a protocol-2 node's hello
 			"future":     frame(testbed.WireHello{Protocol: 99, Physics: 1}),
 		},
 	}
